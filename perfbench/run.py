@@ -8,8 +8,10 @@ from spans recorded by wrappers installed around the program's public
 functions (see ``spans.py``).  Every run checks every answer.  The last
 line of standard output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the lines before it are for
-people.  See ``README.md`` beside this file for the workloads and what
-each metric is expected to move.
+people.  Every time is reported as it would read on a host of nominal
+speed (``hostspeed.py``), from a reference loop timed between slices of
+the workload.  See ``README.md`` beside this file for the workloads and
+what each metric is expected to move.
 """
 
 from __future__ import annotations
@@ -24,22 +26,25 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
+import hostspeed  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-#: Timed segments per run.  Throughput is the median of the segments'
-#: rates, so one slow stretch of the host moves it little.
-SEGMENTS = 9
-#: Set-up probes per run, one before every third segment, so set-up
-#: samples are spread over the run instead of taken back to back.
-PROBES = 3
-#: Untraced/traced segment pairs in a ``--trace 1`` run.
-TRACE_PAIRS = 3
+#: Seconds of one timed slice.  A run times its workload in slices with
+#: a burst of the host-speed reference loop between every two, and
+#: rescales each slice by the host speed measured around it
+#: (``hostspeed.py``).
+SLICE_S = 0.1
+#: Rounds per run.  In an untraced run each round starts with a set-up
+#: probe, so the set-up samples are spread over the run.
+ROUNDS = 5
+#: Seconds of reference loop timed just before and just after a probe.
+PROBE_BURST_S = 0.2
 #: Fresh processes timing ``import repro.kernels.registry``.
 IMPORT_PROBES = 3
 
@@ -111,10 +116,11 @@ def peak_rss_mib(pid: int) -> float:
 
 
 def probe_setup(workload: str, seed: int) -> float:
-    """Seconds from starting a fresh interpreter until it could send
-    its first timed op."""
+    """Seconds, on the nominal host, from starting a fresh interpreter
+    until it could send its first timed op."""
     cmd = [sys.executable, os.path.abspath(__file__), "--probe",
            "--workload", workload, "--seed", str(seed)]
+    before = hostspeed.units_per_s(PROBE_BURST_S)
     start = time.monotonic()
     # A session of its own, so a probe that hangs can be stopped
     # together with the cluster it may have started.
@@ -135,7 +141,8 @@ def probe_setup(workload: str, seed: int) -> float:
             proc.wait()
         proc.stdin.close()
         proc.stdout.close()
-    return ready - start
+    after = hostspeed.units_per_s(PROBE_BURST_S)
+    return (ready - start) / hostspeed.slowdown((before + after) / 2)
 
 
 def run_probe(args: argparse.Namespace) -> int:
@@ -150,55 +157,96 @@ def run_probe(args: argparse.Namespace) -> int:
 
 
 def import_seconds() -> float:
-    """Median time a fresh process takes to import the kernel registry."""
+    """Median time, on the nominal host, a fresh process takes to import
+    the kernel registry."""
     code = (
         "import time, repro; t = time.perf_counter(); "
         "import repro.kernels.registry; print(time.perf_counter() - t)"
     )
     samples = []
     for _ in range(IMPORT_PROBES):
+        before = hostspeed.units_per_s(PROBE_BURST_S)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=workloads.program_env(), timeout=120, check=True,
         )
-        samples.append(float(out.stdout.strip()))
+        after = hostspeed.units_per_s(PROBE_BURST_S)
+        samples.append(
+            float(out.stdout.strip()) / hostspeed.slowdown((before + after) / 2)
+        )
     return statistics.median(samples)
+
+
+class Slice:
+    """One timed slice of a workload and the host's slowdown around it."""
+
+    def __init__(self, segment: workloads.Segment, slowdown: float) -> None:
+        self.segment = segment
+        self.slowdown = slowdown
+
+    @property
+    def nominal_s(self) -> float:
+        """The slice's wall time as it would read on the nominal host."""
+        return self.segment.wall_s / self.slowdown
+
+
+def run_slices(runners: Sequence[Callable[[float], workloads.Segment]],
+               seconds: float) -> List[List[Slice]]:
+    """Time ``seconds`` of each runner, cut into slices taken in turn
+    (one slice of every runner, then the next round), with a burst of
+    the reference loop between every two slices."""
+    rounds = max(1, round(seconds / SLICE_S))
+    out: List[List[Slice]] = [[] for _ in runners]
+    before = hostspeed.units_per_s()
+    for _ in range(rounds):
+        for timed, runner in zip(out, runners):
+            segment = runner(seconds / rounds)
+            after = hostspeed.units_per_s()
+            timed.append(Slice(segment, hostspeed.slowdown((before + after) / 2)))
+            before = after
+    return out
+
+
+def ops_per_nominal_s(slices: Sequence[Slice]) -> float:
+    return (sum(len(s.segment.ops) for s in slices)
+            / sum(s.nominal_s for s in slices))
 
 
 def end_to_end(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int]:
     session = workloads.WORKLOADS[args.workload](args.seed)
     setups: List[float] = []
-    segments = []
+    slices: List[Slice] = []
     try:
         session.setup()
-        for i in range(SEGMENTS):
-            if i % (SEGMENTS // PROBES) == 0:
-                setups.append(probe_setup(args.workload, args.seed))
-                if hasattr(session, "warm"):
-                    session.warm()
-            segments.append(session.run(args.seconds / SEGMENTS))
-            # Checking between segments also spreads them over the run.
+        for _ in range(ROUNDS):
+            setups.append(probe_setup(args.workload, args.seed))
+            session.warm()
+            slices += run_slices([session.run], args.seconds / ROUNDS)[0]
+            # Checking between rounds also spreads them over the run.
             checked, wrong = session.verify()
         rss = sum(peak_rss_mib(pid) for pid in session.pids())
     finally:
         session.close()
-    latencies = [end - start for seg in segments for start, end in seg.ops]
-    completed = len(latencies)
-    wall = sum(seg.wall_s for seg in segments)
+    latencies = [
+        (end - start) / s.slowdown for s in slices for start, end in s.segment.ops
+    ]
+    wall = sum(s.segment.wall_s for s in slices)
     metrics = {
-        "ops_per_s": statistics.median(len(s.ops) / s.wall_s for s in segments),
+        "ops_per_s": ops_per_nominal_s(slices),
         "op_latency_p50_ms": percentile(latencies, 50) * 1e3,
         "op_latency_p99_ms": percentile(latencies, 99) * 1e3,
         "setup_s": statistics.median(setups),
         "peak_rss_mb": rss,
     }
-    print(f"{args.workload}: {completed} ops in {wall:.3f} s over {SEGMENTS} "
-          f"segments; set-up samples {[round(s, 3) for s in setups]}")
-    print("segment rates: " + " ".join(
-        f"{len(s.ops) / s.wall_s:.2f}" for s in segments))
+    slowdowns = [s.slowdown for s in slices]
+    print(f"{args.workload}: {len(latencies)} ops in {wall:.3f} s over "
+          f"{len(slices)} slices, {len(latencies) / wall:.2f} ops/s as timed; "
+          f"host slowdown {min(slowdowns):.2f}..{max(slowdowns):.2f} "
+          f"(median {statistics.median(slowdowns):.2f})")
+    print(f"set-up samples (nominal s): {[round(s, 3) for s in setups]}")
     print(f"checked {checked} answers: {wrong} wrong")
-    attempted = sum(seg.attempted for seg in segments)
-    failed = sum(seg.failed for seg in segments)
+    attempted = sum(s.segment.attempted for s in slices)
+    failed = sum(s.segment.failed for s in slices)
     return metrics, attempted, failed, wrong
 
 
@@ -216,33 +264,40 @@ def per_layer(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int
     traced = cls(args.seed, trace_dir=trace_dir) if remote else plain
     sessions = [plain, traced] if remote else [plain]
     recorder = spans.Recorder()
-    seconds = args.seconds / (2 * TRACE_PAIRS)
-    untraced_segs, traced_segs = [], []
-    hits = lookups = dispatched = calls = 0
+    counts = {"hits": 0, "lookups": 0, "dispatched": 0, "calls": 0}
+
+    def traced_run(seconds: float) -> workloads.Segment:
+        before_cache = default_engine().memory_stats.snapshot()
+        before_serve = traced.serve_counters()
+        recorder.install("bench")
+        try:
+            segment = traced.run(seconds)
+        finally:
+            recorder.uninstall()
+        delta = default_engine().memory_stats.delta(before_cache)
+        after_serve = traced.serve_counters()
+        counts["hits"] += delta.hits
+        counts["lookups"] += delta.lookups
+        counts["dispatched"] += after_serve[0] - before_serve[0]
+        counts["calls"] += after_serve[1] - before_serve[1]
+        return segment
+
+    untraced_slices: List[Slice] = []
+    traced_slices: List[Slice] = []
     try:
         for session in sessions:
             session.setup()
-        for _ in range(TRACE_PAIRS):
+        # Untraced and traced slices alternate, so both see the same host.
+        for _ in range(ROUNDS):
             for session in sessions:
-                if hasattr(session, "warm"):
-                    session.warm()
-            untraced_segs.append(plain.run(seconds))
-            before_cache = default_engine().memory_stats.snapshot()
-            before_serve = traced.serve_counters()
-            recorder.install("bench")
-            try:
-                traced_segs.append(traced.run(seconds))
-            finally:
-                recorder.uninstall()
-            delta = default_engine().memory_stats.delta(before_cache)
-            hits += delta.hits
-            lookups += delta.lookups
-            after_serve = traced.serve_counters()
-            dispatched += after_serve[0] - before_serve[0]
-            calls += after_serve[1] - before_serve[1]
-        counts = [session.verify() for session in sessions]
-        checked = sum(c for c, _w in counts)
-        wrong = sum(w for _c, w in counts)
+                session.warm()
+            untimed, timed = run_slices([plain.run, traced_run],
+                                        args.seconds / (2 * ROUNDS))
+            untraced_slices += untimed
+            traced_slices += timed
+        verified = [session.verify() for session in sessions]
+        checked = sum(c for c, _w in verified)
+        wrong = sum(w for _c, w in verified)
     finally:
         for session in sessions:
             session.close()
@@ -252,17 +307,17 @@ def per_layer(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int
         shutil.rmtree(trace_dir, ignore_errors=True)
         with contextlib.suppress(OSError):
             os.rmdir(trace_root)  # unless another run still uses it
+    traced_segs = [s.segment for s in traced_slices]
+    # Span times are rescaled to the nominal host by the traced slices'
+    # mean slowdown.
+    slowdown = (sum(seg.wall_s for seg in traced_segs)
+                / sum(s.nominal_s for s in traced_slices))
     windows = [(seg.start, seg.end) for seg in traced_segs]
     span_set = spans.SpanSet(dumps + [recorder.spans], windows)
 
     ops = [op for seg in traced_segs for op in seg.ops]
     n = max(1, len(ops))
     batched = [b for seg in traced_segs for b in seg.batched]
-    traced_rate = len(ops) / sum(seg.wall_s for seg in traced_segs)
-    plain_rate = (
-        sum(len(seg.ops) for seg in untraced_segs)
-        / sum(seg.wall_s for seg in untraced_segs)
-    )
     evaluate_rows = span_set.notes("ShapeEngine.evaluate")
     resolves = span_set.notes("KernelParamResolver.resolve")
     waits = [wait for wait, _size in batched]
@@ -274,7 +329,9 @@ def per_layer(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int
     metrics = {
         "serve.queue_wait_p50_ms": spans.median(waits) * 1e3,
         "serve.batch_size_mean": statistics.fmean(batches) if batches else 0.0,
-        "serve.coalesce_ratio": dispatched / calls if calls else 0.0,
+        "serve.coalesce_ratio": (
+            counts["dispatched"] / counts["calls"] if counts["calls"] else 0.0
+        ),
         "engine.calls_per_op": len(evaluate_rows) / n,
         "engine.rows_per_call": (
             statistics.fmean(evaluate_rows) if evaluate_rows else 0.0
@@ -283,7 +340,9 @@ def per_layer(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int
             spans.median(span_set.durations("ShapeEngine.evaluate")) * 1e6
         ),
         "engine.self_ms_per_op": ms_per_op("engine"),
-        "engine.cache_hit_ratio": hits / lookups if lookups else 0.0,
+        "engine.cache_hit_ratio": (
+            counts["hits"] / counts["lookups"] if counts["lookups"] else 0.0
+        ),
         "kernels.resolve_calls_per_op": len(resolves) / n,
         "kernels.table_hit_ratio": (
             sum(resolves) / len(resolves) if resolves else 0.0
@@ -315,18 +374,28 @@ def per_layer(args: argparse.Namespace) -> Tuple[Dict[str, float], int, int, int
         ),
         "serve.cluster.frontend_self_ms_per_op": ms_per_op("serve.cluster"),
         "serve.worker.self_ms_per_op": ms_per_op("serve.worker"),
-        "trace.overhead_ratio": plain_rate / traced_rate,
+        "trace.overhead_ratio": (
+            ops_per_nominal_s(untraced_slices) / ops_per_nominal_s(traced_slices)
+        ),
         "trace.attributed_share": span_set.covered_share(ops),
     }
-    wall_ms = sum(end - start for start, end in ops) * 1e3 / n
+    for name, unit in PER_LAYER.items():
+        # Times taken in the traced slices (``kernels.import_s`` is
+        # rescaled already).
+        if unit in ("ms", "us"):
+            metrics[name] /= slowdown
+    wall_ms = sum(end - start for start, end in ops) * 1e3 / n / slowdown
     print(f"{args.workload} traced: {len(ops)} ops, {wall_ms:.3f} ms per op; "
-          f"ms per op by layer (self; with the engine calls it made):")
+          f"host slowdown {slowdown:.2f}; nominal ms per op by layer "
+          f"(self; with the engine calls it made):")
     budget = sorted(span_set.layer_budget().items(), key=lambda kv: -kv[1][0])
     for layer, (self_s, with_engine_s) in budget:
-        print(f"  {layer:<18} {self_s * 1e3 / n:9.4f} {with_engine_s * 1e3 / n:9.4f}")
+        print(f"  {layer:<18} {self_s * 1e3 / n / slowdown:9.4f} "
+              f"{with_engine_s * 1e3 / n / slowdown:9.4f}")
     print(f"checked {checked} answers: {wrong} wrong")
-    attempted = sum(seg.attempted for seg in untraced_segs + traced_segs)
-    failed = sum(seg.failed for seg in untraced_segs + traced_segs)
+    segments = [s.segment for s in untraced_slices + traced_slices]
+    attempted = sum(seg.attempted for seg in segments)
+    failed = sum(seg.failed for seg in segments)
     return metrics, attempted, failed, wrong
 
 

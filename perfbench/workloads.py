@@ -2,8 +2,11 @@
 
 Every workload is a session with the same life cycle:
 
-- ``setup()`` does everything up to the moment the first timed op can
-  be sent (imports, server or cluster start, lazy loads, warm-up);
+- ``setup()`` does everything a user's process does before its first
+  op (imports, server or cluster start, one op of each kind so lazy
+  loads are done); it is what ``setup_s`` times;
+- ``warm()`` fills the caches the timed ops read from (the working set
+  of serve-tcp-hot and price-sweep), untimed and outside ``setup_s``;
 - ``run(seconds)`` drives ops for that long and returns a
   :class:`Segment` of per-op start/end times;
 - ``verify()`` checks every answer given since the last call and
@@ -163,25 +166,37 @@ class Verifier:
 
 
 def fresh_queries(rng: random.Random) -> Iterator[Any]:
-    """Shape queries whose (batch, m, n, k) never repeats."""
+    """Shape queries whose (batch, m, n, k) never repeats.
+
+    Shapes are drawn as ``repro.serve.loadgen.generate_queries`` draws
+    them (its dimension pool and batch mix, batches up to 8); that pool
+    holds about 97 000 distinct shapes, far more than a run asks for.
+    Exactly one query in each block of four, at a seeded place, asks
+    ``kernel_params`` (loadgen's default share), so the costly kernel
+    misses make the same share of every run instead of a share that
+    varies with the seed.
+    """
+    from repro.serve.loadgen import _DIM_POOL
     from repro.serve.protocol import ShapeQuery
 
+    per_kernel = round(1 / KERNEL_SHARE)
     seen = set()
-
-    def dim() -> int:
-        return rng.randint(1, 128) * 64 if rng.random() < 0.5 else rng.randint(64, 8192)
-
     while True:
-        shape = (rng.choice((1, 1, 1, 2, 4, rng.randint(1, 8))), dim(), dim(), dim())
-        if shape in seen:
-            continue
-        seen.add(shape)
-        kind = (
-            "kernel_params" if rng.random() < KERNEL_SHARE
-            else rng.choice(SHAPE_KINDS)
-        )
-        batch, m, n, k = shape
-        yield ShapeQuery(kind=kind, m=m, n=n, k=k, batch=batch, gpu=rng.choice(GPUS))
+        kernel_at = rng.randrange(per_kernel)
+        for i in range(per_kernel):
+            while True:
+                shape = (
+                    rng.choice((1, 1, 1, 2, 4, rng.randint(1, 8))),
+                    rng.choice(_DIM_POOL), rng.choice(_DIM_POOL),
+                    rng.choice(_DIM_POOL),
+                )
+                if shape not in seen:
+                    break
+            seen.add(shape)
+            kind = "kernel_params" if i == kernel_at else rng.choice(SHAPE_KINDS)
+            batch, m, n, k = shape
+            yield ShapeQuery(kind=kind, m=m, n=n, k=k, batch=batch,
+                             gpu=rng.choice(GPUS))
 
 
 def _ok(advisory: Any) -> Any:
@@ -203,8 +218,10 @@ def _verify_served(self: Any) -> Tuple[int, int]:
 class ServeMissMix:
     """In-process ``AdvisoryServer``; every request is a new shape."""
 
-    #: Requests the client keeps outstanding (well under ``max_queue``).
-    WINDOW = 32
+    #: Requests the client keeps outstanding: as many as
+    #: ``repro.serve.loadgen.run_load`` keeps in flight by default (its
+    #: 8 client threads, each waiting for its answer).
+    WINDOW = 8
 
     def __init__(self, seed: int, trace_dir: Optional[str] = None) -> None:
         self.seed = seed
@@ -223,6 +240,9 @@ class ServeMissMix:
             for gpu in GPUS:
                 q = dataclasses.replace(next(self.stream), kind=kind, gpu=gpu)
                 self.unchecked.append((q, _ok(self.server.request(q, timeout_s=60))))
+
+    def warm(self) -> None:
+        """Nothing to warm: every timed request is new."""
 
     def run(self, seconds: float) -> Segment:
         from repro.errors import ReproError
@@ -344,10 +364,16 @@ class ServeTcpHot:
             kernel_share=KERNEL_SHARE,
         )
         self.distinct = list({q.cache_key(): q for q in self.stream}.values())
-        self.warm()
+        # One query of each kind on each GPU, so the worker's lazy loads
+        # are done, as serve-miss-mix does in its set-up.
+        for q in {(q.kind, q.gpu): q for q in reversed(self.distinct)}.values():
+            self.unchecked.append((q, _ok(self.transport.request(q, timeout_s=60))))
 
     def warm(self) -> None:
-        """Ask every distinct query once, so timed answers are cache hits."""
+        """Ask every distinct query once, so timed answers are cache hits.
+
+        Asked again before each round of a run, so no answer falls out
+        of the worker's 60 s response cache."""
         for q in self.distinct:
             self.unchecked.append((q, _ok(self.transport.request(q, timeout_s=60))))
 
@@ -415,12 +441,15 @@ class PriceSweep:
 
     A candidate is a preset with its head dim moved by one of
     ``HEAD_DIM_STEPS`` and its vocab by up to ``VOCAB_SPREAD``.  Set-up
-    prices every (preset, head dim) once on each GPU and system, so the
-    process-wide GEMM memo holds every layer shape before timing starts;
-    the vocab, drawn afresh for each op, keeps the logit GEMM, the
-    training grid and the plans new.  The timed loop is therefore in a
-    steady state: its cost per op and its memory do not drift with the
-    number of ops already run.
+    builds the pricers and prices one candidate on each GPU, so every
+    lazy load is done.  ``warm()`` then prices every (preset, head dim)
+    once on each GPU and system, so the process-wide GEMM memo holds
+    every layer shape before timing starts; that fills the memo the
+    timed ops draw from and is not part of set-up.  The vocab, drawn
+    afresh for each op, keeps the logit GEMM, the training grid and the
+    plans new.  The timed loop is therefore in a steady state: its cost
+    per op and its memory do not drift with the number of ops already
+    run.
     """
 
     NUM_GPUS = 16
@@ -434,6 +463,7 @@ class PriceSweep:
         self.seed = seed
         self.wrong = 0
         self.checked = 0
+        self.warmed = False
 
     def setup(self) -> None:
         from repro.core.config import list_models
@@ -450,11 +480,20 @@ class PriceSweep:
         self.estimators = {g: TrainStepEstimator(g) for g in GPUS}
         self.latency = {g: LayerLatencyModel(g) for g in GPUS}
         self.inference = {g: InferenceModel(g) for g in GPUS}
+        self.stream = self._candidates(random.Random(self.seed))
+        for gpu in GPUS:
+            cfg, _gpu, system = next(self.stream)
+            self._check(*self._price(cfg, gpu, system))
+
+    def warm(self) -> None:
+        """Price every (preset, head dim) on each GPU and system, once."""
+        if self.warmed:
+            return
         for base, head_dim in self.shapes:
             cfg = self._config(base, head_dim, base.vocab_size)
             for i, system in enumerate(self.systems):
                 self._check(*self._price(cfg, GPUS[i % len(GPUS)], system))
-        self.stream = self._candidates(random.Random(self.seed))
+        self.warmed = True
 
     @staticmethod
     def _config(base: Any, head_dim: int, vocab: int) -> Any:
@@ -465,11 +504,14 @@ class PriceSweep:
         )
 
     def _candidates(self, rng: random.Random) -> Iterator[Tuple[Any, str, str]]:
+        """Every (preset, head dim) once per cycle, in a seeded order, so
+        the mix of cheap and costly presets is the same in every run."""
         while True:
-            base, head_dim = rng.choice(self.shapes)
-            vocab = base.vocab_size + rng.randint(-self.VOCAB_SPREAD, self.VOCAB_SPREAD)
-            yield (self._config(base, head_dim, vocab), rng.choice(GPUS),
-                   rng.choice(self.systems))
+            for base, head_dim in rng.sample(self.shapes, len(self.shapes)):
+                vocab = base.vocab_size + rng.randint(-self.VOCAB_SPREAD,
+                                                      self.VOCAB_SPREAD)
+                yield (self._config(base, head_dim, vocab), rng.choice(GPUS),
+                       rng.choice(self.systems))
 
     def _price(self, cfg: Any, gpu: str, system: str) -> Tuple[Any, ...]:
         from repro.parallelism.planner import ParallelPlanner
