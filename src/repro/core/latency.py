@@ -11,7 +11,7 @@ breakdown is exactly what the paper's Figs 1, 2 and 11 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms, logit_gemm
@@ -21,8 +21,12 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.transformer.flash import FlashAttentionModel
 from repro.types import DType, teraflops
 
-# Sustained fraction of datasheet bandwidth for pointwise kernels.
-_POINTWISE_BW_EFFICIENCY = 0.75
+#: Sustained fraction of datasheet bandwidth for pointwise kernels and
+#: other streaming passes (the training step's optimizer update too).
+POINTWISE_BW_EFFICIENCY = 0.75
+
+#: Forward GEMMs the fused FlashAttention kernel replaces.
+FLASH_FUSED_GEMMS = ("attention_score", "attention_over_value")
 
 #: Trace/gemms module labels that are GEMM components (vs pointwise).
 GEMM_COMPONENTS = (
@@ -131,7 +135,7 @@ class LayerLatencyModel:
     def _pointwise_s(self, elements: float, reads_writes: int = 2) -> float:
         """Latency of one memory-bound elementwise kernel."""
         traffic = elements * reads_writes * self.dtype.bytes
-        bw = self.spec.mem_bw_bytes_per_s() * _POINTWISE_BW_EFFICIENCY
+        bw = self.spec.mem_bw_bytes_per_s() * POINTWISE_BW_EFFICIENCY
         return traffic / bw + self.spec.kernel_overhead_s
 
     def _layer_pointwise(self, cfg: TransformerConfig) -> Dict[str, float]:
@@ -186,7 +190,7 @@ class LayerLatencyModel:
         """(name, seconds, flops) per GEMM operator of one layer."""
         out = []
         for op in layer_gemms(cfg):
-            if self.flash and op.module in ("attention_score", "attention_over_value"):
+            if self.flash and op.module in FLASH_FUSED_GEMMS:
                 continue
             perf = self.gemm_perf(op)
             out.append((op.module, perf.latency_s, op.flops))

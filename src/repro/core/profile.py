@@ -4,9 +4,9 @@
 *actually executed* — including the backward pass, tensor-parallel
 shards, GQA widths, whatever the run did.  This module bridges that
 record to the performance substrate: every traced matmul is priced by
-the analytic GEMM model, producing the per-module latency profile a
-GPU profiler (nsight) would show for the same computation on real
-hardware.
+the analytic GEMM model in one batch-engine call, producing the
+per-module latency profile a GPU profiler (nsight) would show for the
+same computation on real hardware.
 
 This closes the loop the paper draws in Fig 2/11: from *executed
 operations* to *modelled kernel time*, without trusting any hand-derived
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.engine.core import default_engine
 from repro.errors import ExperimentError
-from repro.gpu.gemm_model import GemmModel
-from repro.gpu.specs import GPUSpec
+from repro.gpu.specs import GPUSpec, get_gpu
 from repro.harness.results import ResultTable
 from repro.observability import metrics as _metrics
 from repro.observability import span as _span
@@ -48,45 +48,32 @@ class TraceProfiler:
     def __init__(
         self, gpu: "str | GPUSpec" = "A100", dtype: "str | DType" = DType.FP16
     ) -> None:
-        self.model = GemmModel(gpu, dtype)
-        # Identical shapes recur L times per trace; memoize evaluations.
-        self._cache: Dict[tuple, float] = {}
-
-    def _latency(self, batch: int, m: int, k: int, n: int) -> float:
-        key = (batch, m, k, n)
-        if key not in self._cache:
-            self._cache[key] = self.model.evaluate(m, n, k, batch=batch).latency_s
-        return self._cache[key]
+        self.spec = get_gpu(gpu)
+        self.dtype = DType.parse(dtype)
 
     def profile(self, trace: OpTrace) -> List[ProfiledModule]:
         """Aggregate the trace per module label, largest latency first."""
         if len(trace) == 0:
             raise ExperimentError("cannot profile an empty trace")
-        by_module: Dict[str, List] = {}
-        for rec in trace:
-            by_module.setdefault(rec.module, []).append(rec)
-        agg: Dict[str, ProfiledModule] = {}
-        for module, recs in by_module.items():
-            # One span per priced module: the OpTrace -> GPU-model
-            # bridge, carrying the *modelled* latency as an attribute
-            # (the span's own duration is just pricing overhead).
+        # One engine call prices every record; the trace stores
+        # (batch, m, k, n) and the engine takes (batch, m, n, k).
+        shapes = trace.to_columns()["shape"][:, [0, 1, 3, 2]]
+        latency = default_engine().latency(shapes, self.spec, self.dtype)
+        totals: Dict[str, List] = {}
+        for rec, seconds in zip(trace, latency.tolist()):
+            entry = totals.setdefault(rec.module, [0, 0, 0.0])
+            entry[0] += 1
+            entry[1] += rec.flops
+            entry[2] += seconds
+        agg = []
+        for module, (calls, flops, latency_s) in totals.items():
+            # One span per priced module, carrying the *modelled*
+            # latency as an attribute.
             with _span("profile.module", module=module) as sp:
-                latency = 0.0
-                flops = 0
-                for rec in recs:
-                    latency += self._latency(rec.batch, rec.m, rec.k, rec.n)
-                    flops += rec.flops
-                sp.set(
-                    calls=len(recs), flops=flops, modelled_latency_s=latency
-                )
-                agg[module] = ProfiledModule(
-                    module=module,
-                    calls=len(recs),
-                    flops=flops,
-                    latency_s=latency,
-                )
-        _metrics().counter("profile.modules_priced").inc(len(by_module))
-        return sorted(agg.values(), key=lambda p: -p.latency_s)
+                sp.set(calls=calls, flops=flops, modelled_latency_s=latency_s)
+            agg.append(ProfiledModule(module, calls, flops, latency_s))
+        _metrics().counter("profile.modules_priced").inc(len(totals))
+        return sorted(agg, key=lambda p: -p.latency_s)
 
     def total_latency_s(self, trace: OpTrace) -> float:
         """Sum of all modelled kernel times (serial execution)."""
@@ -99,7 +86,7 @@ class TraceProfiler:
         table = ResultTable(
             title,
             ["module", "calls", "latency_ms", "share", "tflops"],
-            notes=f"priced on {self.model.spec.name} ({self.model.dtype.name})",
+            notes=f"priced on {self.spec.name} ({self.dtype.name})",
         )
         for p in profiles:
             table.add(p.module, p.calls, p.latency_s * 1e3, p.latency_s / total, p.tflops)

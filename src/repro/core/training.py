@@ -8,6 +8,11 @@ pass), and optionally a data-parallel gradient all-reduce.  Because the
 backward GEMMs are transposes of the forward shapes, *the same
 alignment pathologies hit them too* — which is why shape retunes speed
 up training end-to-end, not just inference.
+
+The forward pass is :meth:`LayerLatencyModel.model_breakdown`; the
+backward GEMMs and the optimizer come from one
+:meth:`~repro.trainstep.step.TrainStepEstimator.estimate` grid call.
+Only the terms the estimator does not price are added here.
 """
 
 from __future__ import annotations
@@ -16,18 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
-from repro.core.latency import LatencyBreakdown, LayerLatencyModel
+from repro.core.latency import FLASH_FUSED_GEMMS, LatencyBreakdown, LayerLatencyModel
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.parallelism.comm import CommModel
+from repro.trainstep.step import PHASE_BACKWARD, PHASE_OPTIMIZER, TrainStepEstimator
 from repro.types import DType, teraflops
-
-# Bytes of optimizer traffic per parameter for mixed-precision Adam:
-# read+write fp32 master weight, m, v (6 x 4 B) plus the fp16 weight
-# write and gradient read (2 x 2 B).
-_ADAM_BYTES_PER_PARAM = 28
-_POINTWISE_BW_EFFICIENCY = 0.75
 
 
 @dataclass(frozen=True)
@@ -73,56 +72,11 @@ class TrainingStepModel:
         self.layer_model = LayerLatencyModel(
             self.spec, self.dtype, flash_attention=flash_attention
         )
+        self.estimator = TrainStepEstimator(self.spec, self.dtype)
         self.flash = flash_attention
-
-    # -- pieces ------------------------------------------------------------------
 
     def forward_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         return self.layer_model.model_breakdown(cfg)
-
-    def backward_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
-        """dgrad + wgrad GEMMs plus doubled pointwise traffic."""
-        bd = LatencyBreakdown()
-        forward_ops = layer_gemms(cfg)
-        if self.flash:
-            forward_ops = [
-                op
-                for op in forward_ops
-                if op.module not in ("attention_score", "attention_over_value")
-            ]
-        for op in forward_ops:
-            for bop in backward_gemms_for(op):
-                perf = self.layer_model.gemm_perf(bop)
-                bd.add(bop.module, perf.latency_s * cfg.num_layers)
-                bd.flops += bop.flops * cfg.num_layers
-        for bop in backward_gemms_for(logit_gemm(cfg)):
-            perf = self.layer_model.gemm_perf(bop)
-            bd.add(bop.module, perf.latency_s)
-            bd.flops += bop.flops
-        if self.flash:
-            # FlashAttention backward recomputes the forward and runs
-            # ~2.5x its FLOPs in one fused kernel.
-            batch = cfg.microbatch * cfg.num_heads // cfg.tp_degree
-            fp = self.layer_model.flash_model.evaluate(
-                batch, cfg.seq_len, cfg.head_dim
-            )
-            bd.add("flash_attention.bwd", 2.5 * fp.latency_s * cfg.num_layers)
-            bd.flops += int(2.5 * fp.flops) * cfg.num_layers
-        # Pointwise backward: roughly mirrors the forward's non-GEMM
-        # traffic (norm/softmax/activation backward read the saved
-        # activations and write gradients).
-        fwd = self.layer_model.model_breakdown(cfg)
-        pointwise_fwd = fwd.total_s - fwd.gemm_s
-        bd.add("pointwise_bwd", pointwise_fwd)
-        return bd
-
-    def optimizer_s(self, cfg: TransformerConfig) -> float:
-        """Adam update: stream weights + optimizer states once."""
-        params = cfg.param_count() / cfg.tp_degree
-        bw = self.spec.mem_bw_bytes_per_s() * _POINTWISE_BW_EFFICIENCY
-        return params * _ADAM_BYTES_PER_PARAM / bw
-
-    # -- public API -----------------------------------------------------------------
 
     def step(
         self,
@@ -139,7 +93,29 @@ class TrainingStepModel:
         if grad_accumulation <= 0 or data_parallel <= 0:
             raise ConfigError("grad_accumulation and data_parallel must be positive")
         fwd = self.forward_breakdown(cfg)
-        bwd = self.backward_breakdown(cfg)
+        estimate = self.estimator.estimate(cfg)
+        backward = estimate.phase(PHASE_BACKWARD)
+        backward_s, backward_flops = backward.seconds, backward.flops
+        if self.flash:
+            # The fused kernel replaces the unfused score/AOV backward
+            # pairs; a module's rollup FLOPs are its forward plus that
+            # pair, each at forward FLOPs, so the pair is 2/3 of them.
+            for module in estimate.modules:
+                if module.module in FLASH_FUSED_GEMMS:
+                    backward_s -= module.backward_s
+                    backward_flops -= 2 * module.flops // 3
+            # FlashAttention backward recomputes the forward and runs
+            # ~2.5x its FLOPs in one fused kernel.
+            batch = cfg.microbatch * cfg.num_heads // cfg.tp_degree
+            fp = self.layer_model.flash_model.evaluate(
+                batch, cfg.seq_len, cfg.head_dim
+            )
+            backward_s += 2.5 * fp.latency_s * cfg.num_layers
+            backward_flops += int(2.5 * fp.flops) * cfg.num_layers
+        # Pointwise backward: roughly mirrors the forward's non-GEMM
+        # traffic (norm/softmax/activation backward read the saved
+        # activations and write gradients).
+        backward_s += fwd.total_s - fwd.gemm_s
         allreduce = 0.0
         if data_parallel > 1:
             comm = comm or CommModel(bw_bytes_s=100e9)
@@ -147,10 +123,10 @@ class TrainingStepModel:
             allreduce = comm.allreduce(grad_bytes, data_parallel)
         return TrainingStep(
             forward_s=fwd.total_s * grad_accumulation,
-            backward_s=bwd.total_s * grad_accumulation,
-            optimizer_s=self.optimizer_s(cfg),
+            backward_s=backward_s * grad_accumulation,
+            optimizer_s=estimate.phase(PHASE_OPTIMIZER).seconds,
             allreduce_s=allreduce,
-            flops=(fwd.flops + bwd.flops) * grad_accumulation,
+            flops=(fwd.flops + backward_flops) * grad_accumulation,
             tokens=cfg.tokens_per_microbatch * grad_accumulation,
         )
 

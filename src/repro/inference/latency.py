@@ -20,7 +20,6 @@ from repro.core.gemms import layer_gemms, logit_gemm
 from repro.core.latency import LayerLatencyModel
 from repro.engine import default_engine, shape_array
 from repro.errors import ConfigError
-from repro.gpu.gemm_model import GemmModel
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.types import DType
 
@@ -76,7 +75,6 @@ class InferenceModel:
         self.layer_model = LayerLatencyModel(
             self.spec, self.dtype, flash_attention=flash_attention
         )
-        self.gemm_model = GemmModel(self.spec, self.dtype)
 
     # -- prefill -----------------------------------------------------------------
 

@@ -15,10 +15,12 @@ Lifecycle: ``serve_forever()`` runs in the calling thread (the CLI
 path, with SIGTERM -> drain and SIGHUP -> config hot-reload when
 ``install_signals``); ``start_background()`` runs the same loop on a
 daemon thread and returns once the socket is bound (the test path).
-On stop the listener closes first, live connections get ``drain_s``
-seconds to finish in-flight requests, and only then does the
-supervisor drain its workers — so an accepted request is answered or
-typed-failed, never silently dropped.
+On stop the listener closes first and every connection stops reading
+at once, so an idle keep-alive client holds nothing up; connections
+with accepted, unanswered queries get up to ``drain_s`` seconds to
+answer them, and only then does the supervisor drain its workers — so
+an accepted request is answered or typed-failed, never silently
+dropped.
 
 Fault site ``cluster.conn`` fires per accepted line; a ``raise`` spec
 there tears the connection mid-stream, which is how the chaos wall
@@ -31,7 +33,7 @@ import asyncio
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import ClusterError, ConfigError, ReproError
 from repro.observability import event as _event
@@ -90,7 +92,11 @@ class ClusterServer:
         self.bound_port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
-        self._client_tasks: "Set[asyncio.Task[None]]" = set()
+        #: Live connection handler task -> its (reader, writer).
+        self._connections: Dict[
+            "asyncio.Task[None]",
+            Tuple[asyncio.StreamReader, asyncio.StreamWriter],
+        ] = {}
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -170,17 +176,22 @@ class ClusterServer:
             self._on_bound(self.bound_port)
         self._ready.set()
         try:
-            async with server:
-                await self._stop_async.wait()
+            await self._stop_async.wait()
         finally:
             server.close()
-            await server.wait_closed()
             await self._drain_clients()
-            _event("cluster.drained", connections=len(self._client_tasks))
+            await server.wait_closed()
+            _event("cluster.drained", connections=len(self._connections))
 
     async def _drain_clients(self) -> None:
-        """Give live connections ``drain_s`` to finish, then cut them."""
-        tasks = set(self._client_tasks)
+        """Stop reading every connection, give accepted queries
+        ``drain_s`` to be answered, then cut what is left."""
+        for reader, writer in self._connections.values():
+            # No new lines: the handler reads what is buffered, sees
+            # EOF, answers what it accepted and closes.
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        tasks = set(self._connections)
         if not tasks:
             return
         _, pending = await asyncio.wait(
@@ -196,7 +207,7 @@ class ClusterServer:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._client_tasks.add(task)
+            self._connections[task] = (reader, writer)
         _metrics().counter("cluster.connections").inc()
         out_q: "asyncio.Queue[Optional[str]]" = asyncio.Queue()
         writer_task = asyncio.ensure_future(self._writer_loop(writer, out_q))
@@ -255,7 +266,7 @@ class ClusterServer:
             out_q.put_nowait(None)
             await writer_task
             if task is not None:
-                self._client_tasks.discard(task)
+                self._connections.pop(task, None)
 
     async def _answer(
         self, message: Dict[str, Any], out_q: "asyncio.Queue[Optional[str]]"

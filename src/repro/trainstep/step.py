@@ -14,8 +14,7 @@ demand bit-identical totals against a per-record scalar accumulation.
 
 The optimizer phase is not a GEMM: it is priced as one streaming pass
 over the rank's unique parameter elements at
-:data:`ADAM_TRAFFIC_BYTES_PER_PARAM` bytes each (the same traffic model
-as :mod:`repro.core.training`), with FLOPs from
+:data:`ADAM_TRAFFIC_BYTES_PER_PARAM` bytes each, with FLOPs from
 :data:`repro.transformer.trace.ADAM_FLOPS_PER_PARAM` so the whole-step
 flop conservation law covers it.
 """
@@ -29,6 +28,7 @@ import numpy as np
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
+from repro.core.latency import POINTWISE_BW_EFFICIENCY
 from repro.engine.core import ShapeEngine, default_engine
 from repro.engine.grid import ShapeGrid
 from repro.errors import ConfigError
@@ -47,13 +47,8 @@ PHASE_OPTIMIZER = "optimizer"
 
 #: Bytes of optimizer traffic per parameter for mixed-precision Adam:
 #: read+write fp32 master weight, m, v (6 x 4 B) plus the fp16 weight
-#: write and gradient read (2 x 2 B).  Mirrors
-#: ``repro.core.training._ADAM_BYTES_PER_PARAM``.
+#: write and gradient read (2 x 2 B).
 ADAM_TRAFFIC_BYTES_PER_PARAM = 28
-
-#: Achievable fraction of peak HBM bandwidth for streaming pointwise
-#: passes (mirrors ``repro.core.training._POINTWISE_BW_EFFICIENCY``).
-POINTWISE_BW_EFFICIENCY = 0.75
 
 
 def training_grid(

@@ -11,8 +11,8 @@ self-verifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from repro.errors import ShapeError
 #: two moment EMAs (4 flops), bias corrections (2), sqrt + divide +
 #: epsilon (3), the master-weight update (2), and the fp16 cast (1).
 #: The update is bandwidth-bound in practice (see
-#: :mod:`repro.core.training`); this constant exists so a *flop*
-#: conservation law can cover the whole step, optimizer included.
+#: :meth:`repro.trainstep.step.TrainStepEstimator.optimizer_cost`); this
+#: constant exists so a *flop* conservation law can cover the whole
+#: step, optimizer included.
 ADAM_FLOPS_PER_PARAM = 12
 
 #: Suffixes of backward-pass records derived from a forward matmul.
@@ -234,9 +235,8 @@ class OpTrace:
 
         Like :meth:`to_columns` plus a ``phase`` column, with the
         mechanically-derived backward records appended after the
-        recorded forward ones.  This is the bridge the training-step
-        estimator (:mod:`repro.trainstep`) uses to price a traced model
-        without executing its backward pass.
+        recorded forward ones: a traced forward pass's whole training
+        step in columns, without executing its backward pass.
         """
         records = self.records + self.backward_records()
         return {

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.profile import TraceProfiler
 from repro.errors import ExperimentError
+from repro.gpu.gemm_model import GemmModel
 from repro.transformer.backward import loss_and_gradients
 from repro.transformer.model import DecoderModel
 from repro.transformer.trace import OpTrace
@@ -67,18 +68,42 @@ class TestProfile:
         assert h100 < a100
 
 
+@pytest.fixture(scope="module")
+def traced_step():
+    model = DecoderModel(
+        vocab_size=64,
+        max_seq=8,
+        hidden_size=16,
+        num_heads=2,
+        num_layers=1,
+        rng=np.random.default_rng(0),
+    )
+    trace = OpTrace()
+    loss_and_gradients(model, np.random.default_rng(1).integers(0, 64, (8, 2)), trace)
+    return trace
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("gpu", ["A100", "H100"])
+    @pytest.mark.parametrize("which", ["forward", "step"])
+    def test_matches_scalar_gemm_model_per_record(
+        self, gpu, which, traced_forward, traced_step
+    ):
+        # The profiler's one engine call must price every record exactly
+        # as the scalar model does: accumulate the scalar latencies in
+        # trace order and demand bit-identical module totals.
+        trace = traced_forward[1] if which == "forward" else traced_step
+        scalar = GemmModel(gpu)
+        expected = {}
+        for rec in trace:
+            perf = scalar.evaluate(rec.m, rec.n, rec.k, batch=rec.batch)
+            expected[rec.module] = expected.get(rec.module, 0.0) + perf.latency_s
+        profiles = {p.module: p.latency_s for p in TraceProfiler(gpu).profile(trace)}
+        assert profiles == expected
+
+
 class TestTrainingProfile:
-    def test_backward_modules_appear(self):
-        model = DecoderModel(
-            vocab_size=64,
-            max_seq=8,
-            hidden_size=16,
-            num_heads=2,
-            num_layers=1,
-            rng=np.random.default_rng(0),
-        )
-        trace = OpTrace()
-        loss_and_gradients(model, np.random.default_rng(1).integers(0, 64, (8, 2)), trace)
-        modules = {p.module for p in TraceProfiler("A100").profile(trace)}
+    def test_backward_modules_appear(self, traced_step):
+        modules = {p.module for p in TraceProfiler("A100").profile(traced_step)}
         assert "qkv_transform.dgrad" in modules
         assert "mlp_h_to_4h.wgrad" in modules

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.config import get_model
 from repro.core.gemms import backward_gemms_for, layer_gemms, training_gemms
+from repro.core.latency import LayerLatencyModel
 from repro.core.training import TrainingStepModel
 from repro.errors import ConfigError
 from repro.parallelism.comm import CommModel
+from repro.trainstep import WALL_MODELS, TrainStepEstimator
 
 
 @pytest.fixture(scope="module")
@@ -94,19 +96,35 @@ class TestTrainingShapeSensitivity:
         # slower than h/a=64's at equal total FLOPs.
         base = get_model("gpt3-2.7b")
         aligned = base.with_overrides(num_heads=40)  # h/a = 64
-        bwd_base = model.backward_breakdown(base)
-        bwd_aligned = model.backward_breakdown(aligned)
 
-        def attention_bwd_s(bd):
+        def attention_bwd_s(cfg):
             return sum(
-                v
-                for k, v in bd.components.items()
-                if k.startswith(("attention_score", "attention_over_value"))
+                m.backward_s
+                for m in model.estimator.estimate(cfg).modules
+                if m.module in ("attention_score", "attention_over_value")
             )
 
-        assert attention_bwd_s(bwd_aligned) < attention_bwd_s(bwd_base)
+        assert attention_bwd_s(aligned) < attention_bwd_s(base)
 
     def test_flash_training_faster_than_unfused(self, cfg):
         plain = TrainingStepModel("A100").step(cfg)
         flash = TrainingStepModel("A100", flash_attention=True).step(cfg)
         assert flash.total_s < plain.total_s
+
+
+class TestOnePricer:
+    """The training step, the forward model and the estimator agree:
+    one forward, one optimizer phase, one set of GEMM prices."""
+
+    @pytest.mark.parametrize("gpu", ["A100", "H100"])
+    @pytest.mark.parametrize("name", WALL_MODELS)
+    def test_step_forward_and_estimator_agree(self, gpu, name):
+        cfg = get_model(name)
+        step = TrainingStepModel(gpu).step(cfg)
+        forward = LayerLatencyModel(gpu)
+        estimate = TrainStepEstimator(gpu).estimate(cfg)
+        assert step.forward_s == forward.model_latency(cfg)
+        assert step.optimizer_s == estimate.phase("optimizer").seconds
+        assert estimate.phase("forward").seconds == pytest.approx(
+            forward.model_breakdown(cfg).gemm_s, rel=1e-12
+        )

@@ -84,6 +84,40 @@ class TestPlanning:
             planner.plan(get_model("gpt3-6.7b"), 0)
 
 
+def _state_sizes(obj, path="planner", seen=None):
+    """Size of every container reachable from obj's repro attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return {}
+    seen.add(id(obj))
+    sizes = {}
+    for name, value in vars(obj).items():
+        where = f"{path}.{name}"
+        if isinstance(value, (dict, list, set, tuple)):
+            sizes[where] = len(value)
+        elif type(value).__module__.startswith("repro") and hasattr(
+            value, "__dict__"
+        ):
+            sizes.update(_state_sizes(value, where, seen))
+    return sizes
+
+
+class TestReuse:
+    def test_reused_planner_holds_no_per_config_state(self):
+        # A long-lived planner (a sweep script's) must not grow with
+        # the number of distinct configs it has planned.
+        planner = ParallelPlanner("aws-p4d")
+        base = get_model("gpt3-125m")
+        planner.plan(base, 8)
+        before = _state_sizes(planner)
+        attrs = dict(vars(planner))
+        for i in range(50):
+            cfg = base.with_overrides(vocab_size=base.vocab_size + i + 1)
+            assert planner.plan(cfg, 8)
+        assert _state_sizes(planner) == before
+        assert vars(planner) == attrs
+
+
 class TestSummitCase:
     def test_summit_prefers_intra_node_tp(self):
         planner = ParallelPlanner("ornl-summit")

@@ -5,6 +5,7 @@ One module-scoped cluster serves the cheap tests; the chaos tests that
 kill things get private clusters so carnage never leaks across tests.
 """
 
+import logging
 import os
 import signal
 import threading
@@ -226,6 +227,26 @@ class TestChaos:
                     assert transport.reconnects >= 1
             finally:
                 clear_plan()
+
+
+class TestShutdown:
+    def test_stop_with_idle_client_is_prompt_and_quiet(self, caplog):
+        # drain_s is 10 s, but an idle keep-alive connection has nothing
+        # accepted to answer: stop() closes it at once, with no
+        # cancelled-task traceback from the event loop.
+        server = ClusterServer(_fast_config(workers=1)).start_background()
+        transport = SocketTransport("127.0.0.1", server.bound_port)
+        try:
+            assert transport.request(_query(), timeout_s=_BOOT_S).ok
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.monotonic()
+                server.stop()
+                elapsed = time.monotonic() - started
+            assert elapsed < 1.0
+            assert not [r for r in caplog.records if r.name == "asyncio"]
+        finally:
+            transport.close()
+            server.stop()
 
 
 class TestMultiProcessWall:
