@@ -2,16 +2,16 @@
 
 These time the building blocks a user pays for when sweeping shapes:
 one analytic GEMM evaluation, one discrete-event simulation, a full
-layer-latency composition, the rule engine, an advisor search, and the
+layer-latency composition, the shape linter, an advisor search, and the
 real NumPy substrates (transformer forward, FlashAttention kernel).
 """
 
 import numpy as np
 
+from repro.analysis import ShapeLinter
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import get_model
 from repro.core.latency import LayerLatencyModel
-from repro.core.rules import RuleEngine
 from repro.gpu.gemm_model import GemmModel
 from repro.gpu.simulator import SMSimulator
 from repro.transformer.flash import flash_attention
@@ -44,11 +44,11 @@ def bench_layer_breakdown(benchmark):
     assert bd.total_s > 0
 
 
-def bench_rule_engine(benchmark):
-    engine = RuleEngine("A100")
+def bench_shape_linter(benchmark):
+    linter = ShapeLinter("A100")
     cfg = get_model("gpt3-2.7b")
-    diags = benchmark(engine.check, cfg)
-    assert diags
+    report = benchmark(linter.lint, cfg)
+    assert report.diagnostics
 
 
 def bench_advisor_propose(benchmark):

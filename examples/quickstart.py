@@ -12,7 +12,7 @@ Walks through the library's core loop in five steps:
 Run:  python examples/quickstart.py
 """
 
-from repro import GemmModel, LayerLatencyModel, RuleEngine, get_model
+from repro import GemmModel, LayerLatencyModel, ShapeLinter, get_model
 from repro.core.gemms import layer_gemms
 
 
@@ -45,11 +45,10 @@ def main() -> None:
     print("\nModel forward-pass latency breakdown:")
     print(model.model_breakdown(cfg).summary())
 
-    # 5. The paper's sizing rules.
+    # 5. The paper's sizing rules, with engine-priced fix-its.
     print("\nSizing-rule diagnostics:")
-    for diag in RuleEngine("A100").check(cfg):
-        if diag.severity.name != "OK":
-            print(f"  {diag}")
+    for diag in ShapeLinter("A100").lint(cfg).findings():
+        print(f"  {diag}")
 
 
 if __name__ == "__main__":

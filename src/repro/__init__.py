@@ -23,7 +23,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.
 """
 
-from repro.analysis import LintDiagnostic, LintReport, SelfLinter, ShapeLinter
+from repro.analysis import LintDiagnostic, LintReport, SelfLinter, Severity, ShapeLinter
 from repro.core.advisor import Proposal, ShapeAdvisor
 from repro.core.config import TransformerConfig, get_model, list_models, register_model
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
@@ -31,7 +31,6 @@ from repro.core.memory import MemoryBudget, inference_bytes, training_bytes
 from repro.core.profile import TraceProfiler
 from repro.core.training import TrainingStepModel
 from repro.core.whatif import WhatIfAnalyzer
-from repro.core.rules import Diagnostic, RuleEngine, Severity
 from repro.errors import (
     CalibrationError,
     ConfigError,
@@ -95,8 +94,6 @@ __all__ = [
     "MemoryBudget",
     "training_bytes",
     "inference_bytes",
-    "RuleEngine",
-    "Diagnostic",
     "Severity",
     "ShapeAdvisor",
     "Proposal",

@@ -7,18 +7,19 @@ every per-GPU GEMM dimension the config induces — ``h/t``, ``h/a``,
 utilization (Sec VI-B, VII-A/B), and the microbatch should not sit
 just past a tile/wave-quantization cliff (Sec III-B).
 
-Unlike :class:`repro.core.rules.RuleEngine` (which reports the paper's
-recommendations qualitatively), every fix-it here is *quantified*: the
-rule proposes the nearest compliant value and batch-evaluates the whole
-candidate neighborhood through the memoized engine
-(:mod:`repro.analysis.fixit`), so suggestions carry modeled
-before/after latencies and the neighborhood ranking is by modeled
-latency, not divisibility alone.
+This is the one implementation of the Sec VI-B rules (``b*s``, ``h/a``,
+``h/t`` and ``v`` alignment, ``(b*a)/t`` integrality, ``L`` divisible by
+``p``, MoE per-expert rows) plus the priced microbatch-wave and memory
+rules.  Where a rule has a fix-it it is *quantified*: the rule proposes
+the nearest compliant value and batch-evaluates the whole candidate
+neighborhood through the memoized engine (:mod:`repro.analysis.fixit`),
+so suggestions carry modeled before/after latencies and the
+neighborhood ranking is by modeled latency, not divisibility alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.diagnostics import (
     FixIt,
@@ -35,10 +36,12 @@ from repro.analysis.fixit import (
     strictly_better,
 )
 from repro.core.config import TransformerConfig
-from repro.core.rules import POW2_TARGET
 from repro.engine import default_engine, shape_array
 from repro.gpu.alignment import largest_pow2_divisor
 from repro.gpu.specs import GPUSpec, get_gpu
+
+#: "There is no further benefit to going beyond 64" (Sec VI-B).
+POW2_TARGET = 64
 
 #: Head dims worth proposing: small enough for attention kernels, large
 #: enough that per-head GEMMs are not overhead-dominated.
@@ -49,6 +52,10 @@ _WAVE_EFF_THRESHOLD = 0.90
 
 #: Minimum modeled gain before a microbatch fix-it is worth suggesting.
 _MICROBATCH_MIN_GAIN = 0.02
+
+#: Per-expert GEMM rows below which MoE expert GEMMs are dominated by
+#: launch overhead and tile quantization.
+_MOE_MIN_ROWS = 256
 
 ShapeRuleFn = Callable[["ShapeLinter", TransformerConfig], List[LintDiagnostic]]
 
@@ -83,6 +90,8 @@ class ShapeLinter:
         out += self.rule_hidden_tp(cfg)
         out += self.rule_dff_alignment(cfg)
         out += self.rule_heads_tp(cfg)
+        out += self.rule_tokens_alignment(cfg)
+        out += self.rule_moe_tokens(cfg)
         out += self.rule_microbatch_wave(cfg)
         out += self.rule_layers_pipeline(cfg, pipeline_stages)
         out += self.rule_memory_capacity(cfg, pipeline_stages)
@@ -478,6 +487,67 @@ class ShapeLinter:
                 f"batch (b*a = {b * a}) cannot split evenly across ranks",
                 _loc(cfg, "num_heads"),
                 fixit=fixit,
+                paper_ref="Sec VI-B",
+            )
+        ]
+
+    def rule_tokens_alignment(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """``b*s`` should be divisible by a power of two up to 64 (Sec VI-B
+        rule 3); ``b`` itself needs none, as ``s`` is normally a large
+        power of two already."""
+        tokens = cfg.tokens_per_microbatch
+        p = largest_pow2_divisor(tokens)
+        if p >= POW2_TARGET:
+            severity = Severity.OK
+            message = f"b*s = {tokens} is a multiple of {POW2_TARGET}"
+        else:
+            severity = Severity.ERROR if p < 8 else Severity.WARNING
+            message = (
+                f"b*s = {tokens} is divisible only by {p}; the m dimension "
+                f"of every layer GEMM loses Tensor Core efficiency "
+                f"(target {POW2_TARGET})"
+            )
+        return [
+            LintDiagnostic(
+                "shape/tokens-alignment",
+                severity,
+                message,
+                _loc(cfg, "seq_len"),
+                paper_ref="Sec VI-B",
+            )
+        ]
+
+    def rule_moe_tokens(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """MoE expert GEMMs have ``b*s*k/E`` rows, which should be large
+        and 64-aligned: small or ragged counts waste tiles and launches."""
+        if cfg.num_experts is None:
+            return []
+        rows = cfg.tokens_per_expert
+        total = cfg.tokens_per_microbatch * cfg.moe_top_k
+        ragged = total % cfg.num_experts != 0
+        if rows < _MOE_MIN_ROWS:
+            severity = Severity.WARNING
+            message = (
+                f"only ~{rows} rows per expert: expert GEMMs are launch-"
+                "overhead- and tile-quantization-dominated; increase b, "
+                "reduce experts, or raise top_k"
+            )
+        elif ragged or rows % POW2_TARGET:
+            severity = Severity.INFO
+            message = (
+                f"b*s*k = {total} over {cfg.num_experts} experts gives "
+                f"~{rows} rows per expert, not a multiple of {POW2_TARGET}; "
+                "expert GEMM tile rows are padded"
+            )
+        else:
+            severity = Severity.OK
+            message = f"{rows} rows per expert ({POW2_TARGET}-aligned)"
+        return [
+            LintDiagnostic(
+                "shape/moe-tokens",
+                severity,
+                message,
+                _loc(cfg, "num_experts"),
                 paper_ref="Sec VI-B",
             )
         ]

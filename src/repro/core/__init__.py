@@ -5,8 +5,6 @@
   suite, Llama-2, the Fig 1 C1/C2 retunes, ...),
 - :mod:`repro.core.formulas` — parameter/FLOP/memory formulas (Sec III-C),
 - :mod:`repro.core.gemms` — the Table II operator -> GEMM mapping,
-- :mod:`repro.core.rules` — the Sec VI-B sizing rules as a diagnostics
-  engine,
 - :mod:`repro.core.latency` — per-layer / per-model latency composition
   over the GPU substrate,
 - :mod:`repro.core.breakdown` — latency-proportion analyses (Figs 2, 11),
@@ -22,7 +20,6 @@ from repro.core.formulas import (
     forward_flops_model,
 )
 from repro.core.gemms import TransformerGemm, layer_gemms, model_gemms, logit_gemm
-from repro.core.rules import Diagnostic, RuleEngine, Severity
 from repro.core.latency import LayerLatencyModel, LatencyBreakdown
 from repro.core.advisor import ShapeAdvisor, Proposal
 
@@ -39,9 +36,6 @@ __all__ = [
     "layer_gemms",
     "model_gemms",
     "logit_gemm",
-    "Diagnostic",
-    "RuleEngine",
-    "Severity",
     "LayerLatencyModel",
     "LatencyBreakdown",
     "ShapeAdvisor",

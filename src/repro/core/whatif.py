@@ -19,13 +19,14 @@ wants from the paper: a to-do list sorted by payoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import TransformerConfig
 from repro.core.latency import LayerLatencyModel
-from repro.core.memory import MemoryBudget, training_bytes
+from repro.core.memory import MemoryBudget
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec
+from repro.trainstep.memory import estimate_memory
 from repro.types import DType
 
 
@@ -109,13 +110,14 @@ class WhatIfAnalyzer:
         return self._explore(base, candidates, "vocabulary")
 
     def microbatch(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        """Doubling b, gated by the training-memory budget.
+        """Doubling b, gated by the training-step memory estimate (the
+        same fit question the planner and the shape linter ask).
 
         Measured per token: latency/token, since doubling b doubles the
         work.
         """
         doubled = cfg.with_overrides(microbatch=2 * cfg.microbatch)
-        if not self.budget.fits(training_bytes(doubled)):
+        if not estimate_memory(doubled).fits(self.budget):
             return Sensitivity(
                 knob="microbatch",
                 best_move=f"b={2 * cfg.microbatch} exceeds the memory budget",

@@ -32,11 +32,7 @@ from typing import Optional, Sequence
 from repro.engine import cache as engine_cache
 from repro.errors import GPUModelError, ShapeError
 from repro.gpu import waves as wv
-from repro.gpu.alignment import (
-    dim_efficiency,
-    gemm_alignment_efficiency,
-    tensor_core_eligible,
-)
+from repro.gpu.alignment import gemm_alignment_efficiency, tensor_core_eligible
 from repro.gpu.l2cache import effective_dram_bytes
 from repro.gpu.occupancy import blocks_per_sm
 from repro.gpu.roofline import gemm_flops

@@ -18,7 +18,7 @@ Absolute values only set the y-axis scale of reproduced figures; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.errors import GPUModelError

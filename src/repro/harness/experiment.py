@@ -7,7 +7,7 @@ verifying the paper's qualitative claim about that artifact's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.errors import ExperimentError

@@ -10,7 +10,7 @@ regeneration.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable
 
 from repro.engine import default_engine, shape_array
 from repro.gpu.bmm_model import BmmShape

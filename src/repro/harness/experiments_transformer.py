@@ -7,8 +7,6 @@ transformer.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.breakdown import (

@@ -89,7 +89,7 @@ class ExperimentReport:
     @property
     def lint_warnings(self) -> int:
         """Findings at WARNING or above in the preflight shape lint."""
-        from repro.core.rules import Severity
+        from repro.analysis import Severity
 
         if self.lint is None:
             return 0

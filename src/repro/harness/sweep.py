@@ -9,7 +9,7 @@ around the GPT-2 tokenizer size.  These helpers build those grids.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import ExperimentError
 

@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import TransformerConfig
-from repro.core.latency import GEMM_COMPONENTS
 from repro.errors import ParallelismError
 from repro.parallelism.tensor_parallel import TensorParallelLayer, TPLayerCost
-from repro.parallelism.topology import NodeTopology
 
 
 def validate_sp_feasible(cfg: TransformerConfig, t: int) -> None:

@@ -16,7 +16,6 @@ from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms
 from repro.core.latency import LayerLatencyModel
 from repro.errors import ParallelismError
-from repro.parallelism.comm import CommModel
 from repro.parallelism.topology import NodeTopology, get_system
 from repro.types import DType
 

@@ -68,6 +68,10 @@ __all__ = ["Supervisor", "WorkerHandle"]
 #: (covers interpreter start + imports on a cold, loaded machine).
 _SPAWN_TIMEOUT_S = 60.0
 
+#: How long a worker whose stdout closed may take to exit before it is
+#: SIGKILLed, and how long ``kill``/``shutdown`` wait for that reaping.
+_REAP_TIMEOUT_S = 5.0
+
 
 def _worker_env() -> Dict[str, str]:
     """Child environment: inherit everything, guarantee importability.
@@ -109,6 +113,7 @@ class WorkerHandle:
         self.fault_plan_path = fault_plan_path
         self._lock = threading.Lock()
         self._proc: Optional["subprocess.Popen[str]"] = None
+        self._reader: Optional[threading.Thread] = None
         self._alive = False
         self._pid: Optional[int] = None
         self._next_id = 0
@@ -140,14 +145,15 @@ class WorkerHandle:
             bufsize=1,
             env=_worker_env(),
         )
-        with self._lock:
-            self._proc = proc
-            self._alive = True
-            self._on_death = on_death
         reader = threading.Thread(
             target=self._reader_loop, name=f"repro-cluster-read-{self.index}",
             daemon=True,
         )
+        with self._lock:
+            self._proc = proc
+            self._reader = reader
+            self._alive = True
+            self._on_death = on_death
         reader.start()
         if not self._ready.wait(_SPAWN_TIMEOUT_S):
             self.kill()
@@ -174,12 +180,14 @@ class WorkerHandle:
         if proc is not None and proc.poll() is None:
             proc.kill()
         self._mark_dead("killed")
+        self._join_reader()
 
     def shutdown(self, drain_s: float) -> None:
         """Graceful stop: send ``shutdown``, wait for drain, then kill."""
         try:
             self._send(wire.encode_message("shutdown"))
         except WorkerDiedError:
+            self._join_reader()
             return
         with self._lock:
             proc = self._proc
@@ -189,6 +197,7 @@ class WorkerHandle:
             except subprocess.TimeoutExpired:
                 proc.kill()
         self._mark_dead("shutdown")
+        self._join_reader()
 
     # -- request path -------------------------------------------------------
 
@@ -299,6 +308,30 @@ class WorkerHandle:
                 continue  # stray non-protocol output; never fatal
             self._route(message)
         self._mark_dead("stdout EOF")
+        self._reap(proc)
+
+    def _reap(self, proc: "subprocess.Popen[str]") -> None:
+        """Close both pipes of a dead worker and collect its exit status."""
+        with self._lock:
+            if proc.stdin is not None:
+                try:
+                    proc.stdin.close()
+                except OSError:
+                    pass  # the unflushed tail has no reader; the fd is closed
+        if proc.stdout is not None:
+            proc.stdout.close()
+        try:
+            proc.wait(timeout=_REAP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+    def _join_reader(self) -> None:
+        """Wait until the reader thread has reaped the dead process."""
+        with self._lock:
+            reader = self._reader
+        if reader is not None and reader is not threading.current_thread():
+            reader.join(_REAP_TIMEOUT_S)
 
     def _route(self, message: Dict[str, Any]) -> None:
         op = message["op"]

@@ -117,6 +117,44 @@ class TestTensorParallelRules:
         assert diag.severity == Severity.ERROR
         assert diag.rule_id == "shape/heads-tp-divisible"
 
+    def test_unshardable_heads_reported_not_raised(self, linter):
+        # a = 12 does not split over t = 8; the full lint must report it
+        # as an ERROR finding rather than raise from a pricing rule.
+        report = linter.lint(get_model("pythia-160m", tp_degree=8))
+        assert "shape/heads-tp-divisible" in rules_at_or_above(
+            report, Severity.ERROR
+        )
+        assert report.exit_code == 2
+
+
+class TestTokensAlignmentRule:
+    @pytest.mark.parametrize(
+        "seq_len, severity",
+        [(2048 + 16, Severity.WARNING), (2048 + 4, Severity.ERROR)],
+    )
+    def test_misaligned_tokens(self, linter, seq_len, severity):
+        cfg = get_model("gpt3-2.7b", microbatch=1, seq_len=seq_len)
+        [diag] = linter.rule_tokens_alignment(cfg)
+        assert diag.severity == severity
+        assert diag.fixit is None
+
+
+class TestMoeTokensRule:
+    def test_dense_model_has_no_finding(self, linter):
+        assert linter.rule_moe_tokens(get_model("gpt3-2.7b")) == []
+
+    def test_default_mixtral_ok(self, linter):
+        [diag] = linter.rule_moe_tokens(get_model("mixtral-8x7b"))
+        assert diag.severity == Severity.OK
+
+    @pytest.mark.parametrize("seq_len", [1000, 1001])
+    def test_unaligned_or_ragged_rows_info(self, linter, seq_len):
+        # b*s*k = 3 * s * 2 over 8 experts: 750 rows (not 64-aligned),
+        # or 750.75 (ragged).
+        cfg = get_model("mixtral-8x7b", microbatch=3, seq_len=seq_len)
+        [diag] = linter.rule_moe_tokens(cfg)
+        assert diag.severity == Severity.INFO
+
 
 class TestPipelineRule:
     def test_disabled_at_one_stage(self, linter):

@@ -43,6 +43,26 @@ class TestKnobs:
         assert sens["microbatch"].speedup == 1.0
         assert "memory budget" in sens["microbatch"].best_move
 
+    def test_microbatch_fit_uses_the_step_estimator(self):
+        # Doubled mistral-7b: 3154.6 GB by the coarse training_bytes,
+        # 3189.0 GB by estimate_memory.  A budget between the two must
+        # be judged by the estimator (the planner's and linter's answer).
+        from repro.core.memory import training_bytes
+        from repro.trainstep.memory import estimate_memory
+
+        doubled = get_model("mistral-7b", microbatch=8)
+        coarse = training_bytes(doubled).total
+        fine = estimate_memory(doubled).peak_bytes
+        assert coarse < fine
+        budget = MemoryBudget((coarse + fine) / 2, headroom=0.0)
+        sens = {
+            s.knob: s
+            for s in WhatIfAnalyzer("A100", memory_budget=budget).rank(
+                get_model("mistral-7b")
+            )
+        }
+        assert "memory budget" in sens["microbatch"].best_move
+
     def test_microbatch_helps_when_memory_allows(self):
         roomy = WhatIfAnalyzer("A100", memory_budget=MemoryBudget(10e12))
         cfg = get_model("gpt3-2.7b", microbatch=1)

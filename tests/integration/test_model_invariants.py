@@ -116,13 +116,13 @@ class TestPresetsSurviveEverything:
         ["gpt3-125m", "gpt3-2.7b", "pythia-1b", "llama2-7b", "llama2-70b", "mistral-7b"],
     )
     def test_full_pipeline_on_presets(self, name):
-        """Every preset flows through rules, latency, training, memory
+        """Every preset flows through lint, latency, training, memory
         and inference without error."""
+        from repro.analysis import ShapeLinter
         from repro.core.latency import LayerLatencyModel
-        from repro.core.rules import RuleEngine
 
         cfg = get_model(name, microbatch=1)
-        assert RuleEngine("A100").check(cfg)
+        assert ShapeLinter("A100").lint(cfg).diagnostics
         assert LayerLatencyModel("A100").model_latency(cfg) > 0
         assert TrainingStepModel("A100").step(cfg).total_s > 0
         assert training_bytes(cfg).total > 0

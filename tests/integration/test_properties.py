@@ -166,13 +166,13 @@ class TestResultTableRoundTrips:
         assert best["b"] == max(b for _, b in rows)
 
 
-class TestRuleEngineTotality:
+class TestShapeLinterTotality:
     @settings(max_examples=30, deadline=None)
     @given(configs)
     def test_rules_never_crash_on_valid_configs(self, cfg):
-        from repro.core.rules import RuleEngine, Severity
+        from repro.analysis import Severity, ShapeLinter
 
-        diags = RuleEngine("A100").check(cfg)
+        diags = ShapeLinter("A100").lint(cfg).diagnostics
         assert diags
         assert all(isinstance(d.severity, Severity) for d in diags)
 
@@ -183,7 +183,7 @@ class TestRuleEngineTotality:
         st.integers(min_value=1, max_value=48),
     )
     def test_aligned_shapes_never_error(self, a, dim_mult, L):
-        from repro.core.rules import RuleEngine, Severity
+        from repro.analysis import Severity, ShapeLinter
 
         cfg = TransformerConfig(
             name="aligned",
@@ -191,7 +191,7 @@ class TestRuleEngineTotality:
             num_heads=a,
             num_layers=L,
         )
-        assert RuleEngine("A100").worst(cfg) < Severity.ERROR
+        assert not ShapeLinter("A100").lint(cfg).findings(Severity.ERROR)
 
 
 class TestAdvisorContract:

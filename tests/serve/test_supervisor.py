@@ -107,6 +107,34 @@ class TestCrashRecovery:
             assert stats["down"] == []
             assert victim not in sup.worker_pids()
 
+    def test_dead_workers_are_reaped(self):
+        """A dead worker's pipes are closed and its exit status collected,
+        whether it died by SIGKILL or was drained by ``close()``."""
+
+        def reaped(handle):
+            proc = handle._proc
+            return (
+                proc.returncode is not None
+                and proc.stdin.closed
+                and proc.stdout.closed
+            )
+
+        sup = Supervisor(_fast_config()).start()
+        try:
+            sup.request(_query(), timeout_s=_BOOT_S)
+            first = list(sup._handles)
+            os.kill(first[0].pid, signal.SIGKILL)
+            assert _wait_for(
+                lambda: sup._handles[0] is not first[0]
+                and sup.live_workers() == 2
+            )
+            assert _wait_for(lambda: reaped(first[0]), timeout_s=10.0)
+            survivors = list(sup._handles)
+        finally:
+            sup.close()
+        for handle in survivors:
+            assert reaped(handle)
+
     def test_crash_loop_exhausts_budget_and_degrades(self):
         config = _fast_config(workers=1, restart_budget=1, degrade_local=True)
         with Supervisor(config) as sup:

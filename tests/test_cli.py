@@ -25,14 +25,20 @@ class TestAnalyze:
 
 
 class TestRules:
+    """The Sec VI-B rules are reached through ``lint``, not a verb of
+    their own."""
+
     def test_basic(self, capsys):
-        assert main(["rules", "gpt3-2.7b"]) == 0
-        out = capsys.readouterr().out
-        assert "head_dim_pow2" in out
+        assert main(["lint", "gpt3-2.7b"]) == 1
+        assert "shape/head-alignment" in capsys.readouterr().out
 
     def test_pipeline_stages(self, capsys):
-        assert main(["rules", "gpt3-2.7b", "--pipeline-stages", "5"]) == 0
-        assert "pipeline" in capsys.readouterr().out
+        assert main(["lint", "gpt3-2.7b", "--pipeline-stages", "5"]) == 1
+        assert "shape/layers-pipeline" in capsys.readouterr().out
+
+    def test_rules_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["rules", "gpt3-2.7b"])
 
 
 class TestAdvise:

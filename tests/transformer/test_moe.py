@@ -180,13 +180,12 @@ class TestAnalyticMapping:
         )
 
     def test_rules_flag_small_expert_batches(self):
-        from repro.core.rules import RuleEngine, Severity
+        from repro.analysis import Severity, ShapeLinter
 
         tiny = get_model("mixtral-8x7b", microbatch=1, seq_len=512)
-        diags = [
-            d for d in RuleEngine("A100").check(tiny) if d.rule == "moe_tokens"
-        ]
-        assert diags and diags[0].severity == Severity.WARNING
+        [diag] = ShapeLinter("A100").rule_moe_tokens(tiny)
+        assert diag.rule_id == "shape/moe-tokens"
+        assert diag.severity == Severity.WARNING
 
     def test_invalid_moe_config_rejected(self):
         with pytest.raises(ConfigError):
